@@ -659,61 +659,10 @@ func EncodeCertificate(g *graph.Graph, gamma perm.Perm, rootCells []int) []byte 
 			}
 		}
 	}
-	sortUint64(edges)
+	slices.Sort(edges)
 	for _, e := range edges {
 		binary.BigEndian.PutUint64(tmp[:], e)
 		buf = append(buf, tmp[:]...)
 	}
 	return buf
-}
-
-func sortUint64(a []uint64) {
-	// Standard library sort without the interface overhead.
-	if len(a) < 2 {
-		return
-	}
-	quickU64(a)
-}
-
-func quickU64(a []uint64) {
-	for len(a) > 16 {
-		p := medianOf3(a)
-		i, j := 0, len(a)-1
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j+1 < len(a)-i {
-			quickU64(a[:j+1])
-			a = a[i:]
-		} else {
-			quickU64(a[i:])
-			a = a[:j+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func medianOf3(a []uint64) uint64 {
-	x, y, z := a[0], a[len(a)/2], a[len(a)-1]
-	if (x <= y && y <= z) || (z <= y && y <= x) {
-		return y
-	}
-	if (y <= x && x <= z) || (z <= x && x <= y) {
-		return x
-	}
-	return z
 }

@@ -10,6 +10,7 @@ package group
 
 import (
 	"math/big"
+	"slices"
 
 	"dvicl/internal/perm"
 )
@@ -18,50 +19,15 @@ import (
 // gens, using union-find. Each orbit is sorted ascending; orbits are
 // ordered by minimum element. This is the "orbit coloring" of the paper.
 func Orbits(n int, gens []perm.Perm) [][]int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
+	uf := newUnionFind(n)
 	for _, g := range gens {
-		for v := 0; v < n; v++ {
-			if g[v] != v {
-				union(v, g[v])
+		for v, img := range g {
+			if img != v {
+				uf.union(v, img)
 			}
 		}
 	}
-	members := make(map[int][]int)
-	for v := 0; v < n; v++ {
-		r := find(v)
-		members[r] = append(members[r], v)
-	}
-	var roots []int
-	for v := 0; v < n; v++ {
-		if find(v) == v {
-			roots = append(roots, v)
-		}
-	}
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, members[r])
-	}
-	return out
+	return uf.orbits()
 }
 
 // OrbitStats returns the number of orbit cells and how many of them are
@@ -99,6 +65,8 @@ func OrbitStatsSparse(n int, gens []perm.Sparse) (cells, singletons int) {
 	return orbitStats(OrbitsSparse(n, gens))
 }
 
+// unionFind links the larger root under the smaller, so every root is the
+// minimum of its set.
 type unionFind struct{ parent []int }
 
 func newUnionFind(n int) *unionFind {
@@ -127,20 +95,20 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
+// orbits lists the sets, each ascending, ordered by minimum element. A
+// root is its set's minimum, so compacting in place never overwrites an
+// unread slot.
 func (u *unionFind) orbits() [][]int {
-	members := map[int][]int{}
+	byRoot := make([][]int, len(u.parent))
 	for v := range u.parent {
-		members[u.find(v)] = append(members[u.find(v)], v)
+		r := u.find(v)
+		byRoot[r] = append(byRoot[r], v)
 	}
-	var roots []int
-	for v := range u.parent {
-		if u.find(v) == v {
-			roots = append(roots, v)
+	out := byRoot[:0]
+	for _, m := range byRoot {
+		if m != nil {
+			out = append(out, m)
 		}
-	}
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, members[r])
 	}
 	return out
 }
@@ -148,26 +116,35 @@ func (u *unionFind) orbits() [][]int {
 // Group is a permutation group on {0,…,n−1} represented by a stabilizer
 // chain (base and strong generating set). Construct with New; the zero
 // value is not usable.
+//
+// The chain stores no transversals: each level keeps a Schreier vector
+// and every strong generator is stored once with its inverse, so memory
+// is O((levels + strong generators)·n).
 type Group struct {
-	n     int
-	chain []*level
-	gens  []perm.Perm // the strong generators accumulated
-	// preferredBase, when set, is consulted first when a new base point
-	// is needed (used to build stabilizer chains with a prescribed base
-	// prefix).
-	preferredBase []int
+	n      int
+	chain  []*level
+	strong []strongGen
+	// work is Extend's scratch: residue, coset representative and
+	// Schreier generator, n each. Contains allocates its own.
+	work []int32
 }
 
-// level is one level of the stabilizer chain: the group generated by
-// gens stabilizes all earlier base points pointwise; base is this level's
-// base point; orbit/via form a Schreier vector for the orbit of base.
+type strongGen struct{ fwd, inv []int32 }
+
+const (
+	absent = -1 // via: point not in this level's orbit
+	root   = -2 // via: the level's base point
+)
+
+// level is one level of the stabilizer chain. Its group, generated by
+// gens (indices into Group.strong), fixes every earlier base point. orbit
+// lists the orbit of base in discovery order; via/from form its Schreier
+// tree: p = strong[via[p]].fwd[from[p]]. checked[p] counts the leading
+// entries of gens whose Schreier generator with p has been verified.
 type level struct {
-	base  int
-	gens  []perm.Perm
-	orbit []int // points in the orbit of base, BFS order
-	inOrb []int // point -> index+1 in orbit, 0 if absent
-	via   []int // point -> index of generator used to reach it (-1 for base)
-	from  []int // point -> previous point on the Schreier tree path
+	base               int32
+	gens, orbit        []int32
+	via, from, checked []int32
 }
 
 // New builds the stabilizer chain for the group generated by gens acting
@@ -176,118 +153,138 @@ func New(n int, gens []perm.Perm) *Group {
 	return NewWithBase(n, gens, nil)
 }
 
-// NewWithBase builds the chain preferring the given points as the leading
-// base — the prerequisite for reading off point stabilizers.
+// NewWithBase builds the chain with the given points as the leading base
+// — the prerequisite for reading off point stabilizers. Every distinct
+// in-range point gets a level up front, even one the group fixes.
 func NewWithBase(n int, gens []perm.Perm, base []int) *Group {
-	g := &Group{n: n, preferredBase: append([]int(nil), base...)}
+	g := &Group{n: n}
+	for _, b := range base {
+		dup := slices.ContainsFunc(g.chain, func(l *level) bool { return int(l.base) == b })
+		if b >= 0 && b < n && !dup {
+			g.chain = append(g.chain, g.newLevel(b))
+		}
+	}
 	for _, p := range gens {
 		g.Extend(p)
 	}
 	return g
 }
 
-// pickBase chooses the next base point for a generator that no existing
-// level moves: the first preferred point it moves, else its first moved
-// point.
-func (g *Group) pickBase(gen perm.Perm) int {
-	for _, b := range g.preferredBase {
-		if gen[b] != b {
-			used := false
-			for _, l := range g.chain {
-				if l.base == b {
-					used = true
-					break
-				}
-			}
-			if !used {
-				return b
-			}
-		}
-	}
-	for v := 0; v < g.n; v++ {
-		if gen[v] != v {
-			return v
-		}
-	}
-	return -1
-}
-
 // N returns the degree of the group.
 func (g *Group) N() int { return g.n }
 
-// StrongGenerators returns the accumulated strong generating set.
-func (g *Group) StrongGenerators() []perm.Perm { return g.gens }
+// StrongGenerators returns a copy of the strong generating set, in the
+// order the generators were added.
+func (g *Group) StrongGenerators() []perm.Perm {
+	out := make([]perm.Perm, len(g.strong))
+	for i, s := range g.strong {
+		out[i] = toPerm(s.fwd)
+	}
+	return out
+}
 
-func newLevel(n, base int) *level {
-	l := &level{base: base, inOrb: make([]int, n), via: make([]int, n), from: make([]int, n)}
-	l.orbit = append(l.orbit, base)
-	l.inOrb[base] = 1
-	l.via[base] = -1
+func toPerm(a []int32) perm.Perm {
+	p := make(perm.Perm, len(a))
+	for i, v := range a {
+		p[i] = int(v)
+	}
+	return p
+}
+
+func (g *Group) newLevel(base int) *level {
+	l := &level{base: int32(base), orbit: []int32{int32(base)},
+		via: make([]int32, g.n), from: make([]int32, g.n), checked: make([]int32, g.n)}
+	for i := range l.via {
+		l.via[i] = absent
+	}
+	l.via[base] = root
 	return l
 }
 
-// rebuildOrbit recomputes the Schreier vector of l after a generator is
-// added.
-func (l *level) rebuildOrbit() {
-	for _, p := range l.orbit {
-		l.inOrb[p] = 0
-	}
-	l.orbit = l.orbit[:0]
-	l.orbit = append(l.orbit, l.base)
-	l.inOrb[l.base] = 1
-	l.via[l.base] = -1
-	for i := 0; i < len(l.orbit); i++ {
-		p := l.orbit[i]
-		for gi, gen := range l.gens {
-			q := gen[p]
-			if l.inOrb[q] == 0 {
-				l.inOrb[q] = len(l.orbit) + 1
-				l.via[q] = gi
-				l.from[q] = p
+// addGen appends strong generator s to l and extends the orbit: old
+// points under s, new points under every generator. Old points keep
+// their Schreier-tree edges, so their coset representatives, and every
+// Schreier generator already verified at this level, stay the same.
+func (g *Group) addGen(l *level, s int32) {
+	l.gens = append(l.gens, s)
+	old := len(l.orbit)
+	for j := 0; j < len(l.orbit); j++ {
+		p, gens := l.orbit[j], l.gens
+		if j < old {
+			gens = gens[len(gens)-1:]
+		}
+		for _, t := range gens {
+			if q := g.strong[t].fwd[p]; l.via[q] == absent {
+				l.via[q], l.from[q] = t, p
 				l.orbit = append(l.orbit, q)
 			}
 		}
 	}
 }
 
-// transversal returns a permutation u in the group with u(base) = point,
-// by walking the Schreier tree. point must be in the orbit.
-func (l *level) transversal(n, point int) perm.Perm {
-	// Collect the path of generators from base to point, then compose.
-	var path []int
-	for p := point; p != l.base; p = l.from[p] {
-		path = append(path, l.via[p])
+// unwind replaces h by h·u⁻¹ (h first, then u⁻¹), where u is the coset
+// representative of l mapping the base to pt: walking the Schreier tree
+// from pt back to the base applies the inverse generators in exactly
+// that order. Two steps per pass halve the writes to h.
+func (g *Group) unwind(l *level, h []int32, pt int32) {
+	for pt != l.base {
+		a := g.strong[l.via[pt]].inv
+		pt = l.from[pt]
+		if pt == l.base {
+			for x, y := range h {
+				h[x] = a[y]
+			}
+			return
+		}
+		b := g.strong[l.via[pt]].inv
+		pt = l.from[pt]
+		for x, y := range h {
+			h[x] = b[a[y]]
+		}
 	}
-	u := perm.Identity(n)
-	for i := len(path) - 1; i >= 0; i-- {
-		u = u.Compose(l.gens[path[i]])
-	}
-	return u
 }
 
-// sift attempts to express p using the chain starting at level i.
-// It returns the residue permutation and the level at which sifting
-// stopped; a residue that is the identity means p is in the group.
-func (g *Group) sift(p perm.Perm, start int) (perm.Perm, int) {
+// sift divides h in place by coset representatives from level start
+// down. It returns the level where h left the chain's orbits, or
+// len(chain) if h passed every level; h is then in the group iff it is
+// the identity.
+func (g *Group) sift(h []int32, start int) int {
 	for i := start; i < len(g.chain); i++ {
 		l := g.chain[i]
-		img := p[l.base]
-		if l.inOrb[img] == 0 {
-			return p, i
+		pt := h[l.base]
+		if l.via[pt] == absent {
+			return i
 		}
-		u := l.transversal(g.n, img)
-		p = p.Compose(u.Inverse())
+		g.unwind(l, h, pt)
 	}
-	return p, len(g.chain)
+	return len(g.chain)
 }
 
-// Contains reports whether p is in the group.
+func isIdentity(h []int32) bool {
+	for x, y := range h {
+		if int32(x) != y {
+			return false
+		}
+	}
+	return true
+}
+
+// Contains reports whether p is in the group. Its only allocation is an
+// n-length scratch buffer, so concurrent calls are safe.
 func (g *Group) Contains(p perm.Perm) bool {
 	if len(p) != g.n {
 		return false
 	}
-	res, _ := g.sift(p, 0)
-	return res.IsIdentity()
+	h := load(make([]int32, g.n), p)
+	g.sift(h, 0)
+	return isIdentity(h)
+}
+
+func load(h []int32, p perm.Perm) []int32 {
+	for x, y := range p {
+		h[x] = int32(y)
+	}
+	return h
 }
 
 // Extend adds p to the group if it is not already a member, updating the
@@ -297,87 +294,98 @@ func (g *Group) Extend(p perm.Perm) bool {
 	if len(p) != g.n {
 		panic("group: generator degree mismatch")
 	}
-	res, lvl := g.sift(p, 0)
-	if res.IsIdentity() {
+	if g.work == nil {
+		g.work = make([]int32, 3*g.n)
+	}
+	h := load(g.work[:g.n], p)
+	lvl := g.sift(h, 0)
+	if lvl == len(g.chain) && isIdentity(h) {
 		return false
 	}
-	g.gens = append(g.gens, res)
-	g.addStrongGenerator(res, lvl)
+	g.complete(g.addResidue(h, 0, lvl))
 	return true
 }
 
-// addStrongGenerator inserts gen at levels 0..lvl of the chain, creating
-// a new level if needed, then restores the Schreier–Sims invariant by
-// checking Schreier generators from the affected levels downward.
-func (g *Group) addStrongGenerator(gen perm.Perm, lvl int) {
-	if lvl == len(g.chain) {
-		b := g.pickBase(gen)
-		if b < 0 {
-			return // identity; nothing to do
+// addResidue stores h as a strong generator of levels from..lvl, opening
+// a new level if h passed the whole chain, and returns the deepest level
+// it joined.
+func (g *Group) addResidue(h []int32, from, lvl int) int {
+	s := strongGen{fwd: append([]int32(nil), h...), inv: make([]int32, g.n)}
+	for x, y := range h {
+		s.inv[y] = int32(x)
+	}
+	g.strong = append(g.strong, s)
+	if lvl == len(g.chain) { // the first moved point is the new base
+		b := 0
+		for h[b] == int32(b) {
+			b++
 		}
-		g.chain = append(g.chain, newLevel(g.n, b))
+		g.chain = append(g.chain, g.newLevel(b))
 	}
-	for i := 0; i <= lvl; i++ {
-		g.chain[i].gens = append(g.chain[i].gens, gen)
-		g.chain[i].rebuildOrbit()
+	for i := from; i <= lvl; i++ {
+		g.addGen(g.chain[i], int32(len(g.strong)-1))
 	}
-	// Restore invariant from level lvl upward (deepest affected first is
-	// not required for correctness of this incremental variant; we verify
-	// Schreier generators at each affected level).
-	for i := lvl; i >= 0; i-- {
-		g.verifyLevel(i)
+	return lvl
+}
+
+// complete restores the chain invariant — each level's group meets the
+// next level's in the stabilizer of its base — after levels 0..i gained
+// generators (deterministic Schreier–Sims, as in Holt's SCHREIERSIMS).
+// Levels below i are complete on entry. At level i every unchecked
+// Schreier generator u_p·s·u_{s(p)}⁻¹ is sifted through the deeper
+// levels; a non-identity residue joins the levels below i, and the scan
+// resumes at the deepest level it touched. A verified pair stays
+// verified: its Schreier generator never changes (orbits only grow and
+// existing points keep their representatives) and deeper groups only
+// grow.
+func (g *Group) complete(i int) {
+	up, sg := g.work[g.n:2*g.n], g.work[2*g.n:]
+	for i >= 0 {
+		l := g.chain[i]
+		deeper := -1
+	scan:
+		for _, p := range l.orbit {
+			haveUp := false
+			for ; int(l.checked[p]) < len(l.gens); l.checked[p]++ {
+				s := l.gens[l.checked[p]]
+				fwd := g.strong[s].fwd
+				q := fwd[p]
+				if l.via[q] == s && l.from[q] == p {
+					continue // a Schreier-tree edge: u_p·s = u_q
+				}
+				if !haveUp {
+					g.coset(l, p, up, sg)
+					haveUp = true
+				}
+				for x, y := range up {
+					sg[x] = fwd[y]
+				}
+				g.unwind(l, sg, q)
+				lvl := g.sift(sg, i+1)
+				if lvl < len(g.chain) || !isIdentity(sg) {
+					l.checked[p]++
+					deeper = g.addResidue(sg, i+1, lvl)
+					break scan
+				}
+			}
+		}
+		if deeper >= 0 {
+			i = deeper
+		} else {
+			i--
+		}
 	}
 }
 
-// verifyLevel checks all Schreier generators of level i and recursively
-// extends deeper levels with any that do not sift to the identity.
-func (g *Group) verifyLevel(i int) {
-	l := g.chain[i]
-	for oi := 0; oi < len(l.orbit); oi++ {
-		p := l.orbit[oi]
-		up := l.transversal(g.n, p)
-		for gi := 0; gi < len(l.gens); gi++ {
-			gen := l.gens[gi]
-			q := gen[p]
-			uq := l.transversal(g.n, q)
-			// Schreier generator: u_p · gen · u_q⁻¹ stabilizes base.
-			s := up.Compose(gen).Compose(uq.Inverse())
-			if s.IsIdentity() {
-				continue
-			}
-			res, lvl := g.sift(s, i+1)
-			if !res.IsIdentity() {
-				g.gens = append(g.gens, res)
-				g.addStrongGeneratorFrom(res, i+1, lvl)
-				// Orbit may have grown at this level via deeper changes;
-				// restart scanning this level to stay sound.
-				oi = -1
-				break
-			}
-		}
-		if oi == -1 {
-			// restart outer loop
-			continue
-		}
+// coset writes into u the coset representative of l mapping the base to
+// pt. It unwinds the identity in inv, which yields u⁻¹, and inverts that.
+func (g *Group) coset(l *level, pt int32, u, inv []int32) {
+	for x := range inv {
+		inv[x] = int32(x)
 	}
-}
-
-// addStrongGeneratorFrom is addStrongGenerator restricted to levels
-// minLvl..lvl (used when inserting Schreier residues below a level).
-func (g *Group) addStrongGeneratorFrom(gen perm.Perm, minLvl, lvl int) {
-	if lvl == len(g.chain) {
-		b := g.pickBase(gen)
-		if b < 0 {
-			return
-		}
-		g.chain = append(g.chain, newLevel(g.n, b))
-	}
-	for i := minLvl; i <= lvl; i++ {
-		g.chain[i].gens = append(g.chain[i].gens, gen)
-		g.chain[i].rebuildOrbit()
-	}
-	for i := lvl; i >= minLvl; i-- {
-		g.verifyLevel(i)
+	g.unwind(l, inv, pt)
+	for x, y := range inv {
+		u[y] = int32(x)
 	}
 }
 

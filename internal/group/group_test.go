@@ -3,6 +3,7 @@ package group
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -304,5 +305,191 @@ func TestQuickContainsRandomProducts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// permKey packs a permutation of at most 16 points into a uint64.
+func permKey(p perm.Perm) uint64 {
+	var k uint64
+	for i, v := range p {
+		k |= uint64(v) << (4 * i)
+	}
+	return k
+}
+
+// closure enumerates the group generated by gens by BFS, stopping once it
+// holds more than limit elements; complete reports whether it finished.
+func closure(n int, gens []perm.Perm, limit int) (elems []perm.Perm, seen map[uint64]bool, complete bool) {
+	id := perm.Identity(n)
+	seen = map[uint64]bool{permKey(id): true}
+	elems = []perm.Perm{id}
+	for i := 0; i < len(elems); i++ {
+		for _, s := range gens {
+			q := elems[i].Compose(s)
+			if k := permKey(q); !seen[k] {
+				if len(elems) == limit {
+					return elems, seen, false
+				}
+				seen[k] = true
+				elems = append(elems, q)
+			}
+		}
+	}
+	return elems, seen, true
+}
+
+// randomGenerator draws an identity, a transposition, a permutation of a
+// few random points, or (on at most 8 points) a uniform permutation.
+func randomGenerator(r *rand.Rand, n int) perm.Perm {
+	p := perm.Identity(n)
+	switch k := r.Intn(8); {
+	case k == 0:
+	case k <= 2 || n < 3:
+		a, b := r.Intn(n), r.Intn(n)
+		p[a], p[b] = b, a
+	case k <= 5 || n > 8:
+		pts := r.Perm(n)[:2+r.Intn(min(5, n-1))]
+		img := append([]int(nil), pts...)
+		r.Shuffle(len(img), func(i, j int) { img[i], img[j] = img[j], img[i] })
+		for i, v := range pts {
+			p[v] = img[i]
+		}
+	default:
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	}
+	return p
+}
+
+// TestOrderAndContainsMatchClosure is a seeded differential test of the
+// stabilizer chain against brute-force enumeration: over thousands of
+// random generator sets on at most 12 points, Order is the closure size
+// and Contains agrees with closure membership.
+func TestOrderAndContainsMatchClosure(t *testing.T) {
+	const trials, limit = 3000, 20000
+	r := rand.New(rand.NewSource(29))
+	complete := 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + r.Intn(12)
+		gens := make([]perm.Perm, 1+r.Intn(4))
+		for i := range gens {
+			gens[i] = randomGenerator(r, n)
+		}
+		g := New(n, gens)
+		elems, seen, done := closure(n, gens, limit)
+		order := g.Order()
+		if done {
+			complete++
+			if order.Cmp(big.NewInt(int64(len(elems)))) != 0 {
+				t.Fatalf("trial %d: n=%d gens=%v: order %v, closure %d", trial, n, gens, order, len(elems))
+			}
+			pts := r.Perm(n)[:1+r.Intn(min(2, n))]
+			fixing, orbit := 0, map[int]bool{}
+			for _, e := range elems {
+				if e[pts[0]] == pts[0] && e[pts[len(pts)-1]] == pts[len(pts)-1] {
+					fixing++
+				}
+				orbit[e[pts[0]]] = true
+			}
+			if got := g.Stabilizer(pts).Order(); got.Cmp(big.NewInt(int64(fixing))) != 0 {
+				t.Fatalf("trial %d: gens=%v: |Stab(%v)| = %v, closure %d", trial, gens, pts, got, fixing)
+			}
+			if got := g.OrbitOf(pts[0]); len(got) != len(orbit) || !slices.IsSorted(got) ||
+				slices.ContainsFunc(got, func(v int) bool { return !orbit[v] }) {
+				t.Fatalf("trial %d: gens=%v: OrbitOf(%d) = %v, closure %v", trial, gens, pts[0], got, orbit)
+			}
+			for i := 0; i < 20; i++ {
+				p := perm.Perm(r.Perm(n))
+				if i%2 == 0 { // a member times a transposition: in or out
+					p = elems[r.Intn(len(elems))].Clone()
+					a, b := r.Intn(n), r.Intn(n)
+					p[a], p[b] = p[b], p[a]
+				}
+				if got, want := g.Contains(p), seen[permKey(p)]; got != want {
+					t.Fatalf("trial %d: gens=%v: Contains(%v) = %v, closure says %v", trial, gens, p, got, want)
+				}
+			}
+		} else if order.Cmp(big.NewInt(limit)) <= 0 {
+			t.Fatalf("trial %d: gens=%v: order %v, closure exceeds %d", trial, gens, order, limit)
+		}
+		for i := 0; i < 10; i++ {
+			if p := elems[r.Intn(len(elems))]; !g.Contains(p) {
+				t.Fatalf("trial %d: gens=%v: closure element %v not contained", trial, gens, p)
+			}
+		}
+	}
+	if complete < trials*9/10 {
+		t.Fatalf("only %d of %d closures finished under %d elements", complete, trials, limit)
+	}
+}
+
+// TestContainsAllocGuard: membership testing allocates its one scratch
+// buffer and nothing else, however deep the chain or large the orbits.
+func TestContainsAllocGuard(t *testing.T) {
+	cyc := func(n int) perm.Perm {
+		p := perm.Identity(n)
+		for i := range p {
+			p[i] = (i + 1) % n
+		}
+		return p
+	}
+	tr := func(n, a, b int) perm.Perm {
+		p := perm.Identity(n)
+		p[a], p[b] = b, a
+		return p
+	}
+	cases := []struct {
+		name    string
+		g       *Group
+		in, out perm.Perm
+	}{
+		// S_12: eleven levels with orbits of 12 down to 2.
+		{"S12", New(12, []perm.Perm{cyc(12), tr(12, 0, 1)}), cyc(12).Compose(tr(12, 3, 7)), nil},
+		// C_4096: one level whose Schreier tree is a 4095-edge path.
+		{"C4096", New(4096, []perm.Perm{cyc(4096)}), cyc(4096).Inverse(), tr(4096, 0, 1)},
+		// A direct product of many small symmetric groups: a deep chain.
+		{"S3^40", New(120, func() []perm.Perm {
+			var gs []perm.Perm
+			for b := 0; b < 120; b += 3 {
+				gs = append(gs, tr(120, b, b+1), tr(120, b+1, b+2))
+			}
+			return gs
+		}()), tr(120, 117, 119), cyc(120)},
+	}
+	for _, tc := range cases {
+		for _, p := range []perm.Perm{tc.in, tc.out} {
+			if p == nil {
+				continue
+			}
+			if got := testing.AllocsPerRun(20, func() { tc.g.Contains(p) }); got > 1 {
+				t.Errorf("%s: Contains makes %v allocations, want at most 1", tc.name, got)
+			}
+		}
+		if !tc.g.Contains(tc.in) || (tc.out != nil && tc.g.Contains(tc.out)) {
+			t.Errorf("%s: wrong membership answers", tc.name)
+		}
+	}
+}
+
+// TestContainsConcurrent runs membership tests on one shared group from
+// several goroutines; under -race it proves Contains writes no shared
+// state.
+func TestContainsConcurrent(t *testing.T) {
+	gens := []perm.Perm{mustParse(t, "(0,1,2,3,4,5,6,7)", 8), mustParse(t, "(0,1)", 8)}
+	g := New(8, gens)
+	done := make(chan bool)
+	for w := 0; w < 4; w++ {
+		go func(seed int64) {
+			r := rand.New(rand.NewSource(seed))
+			ok := true
+			for i := 0; i < 200; i++ {
+				ok = ok && g.Contains(perm.Perm(r.Perm(8)))
+			}
+			done <- ok
+		}(int64(w))
+	}
+	for w := 0; w < 4; w++ {
+		if !<-done {
+			t.Error("S_8 is missing a permutation")
+		}
 	}
 }

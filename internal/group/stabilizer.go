@@ -2,6 +2,7 @@ package group
 
 import (
 	"math/rand"
+	"slices"
 
 	"dvicl/internal/perm"
 )
@@ -12,18 +13,11 @@ import (
 // all of them generate the stabilizer (the defining property of a
 // stabilizer chain).
 func (g *Group) Stabilizer(points []int) *Group {
-	h := NewWithBase(g.n, g.gens, points)
+	h := NewWithBase(g.n, g.StrongGenerators(), points)
 	var stab []perm.Perm
-	for _, p := range h.gens {
-		fixesAll := true
-		for _, pt := range points {
-			if p[pt] != pt {
-				fixesAll = false
-				break
-			}
-		}
-		if fixesAll {
-			stab = append(stab, p)
+	for _, s := range h.strong {
+		if !slices.ContainsFunc(points, func(pt int) bool { return int(s.fwd[pt]) != pt }) {
+			stab = append(stab, toPerm(s.fwd))
 		}
 	}
 	return New(g.n, stab)
@@ -31,23 +25,18 @@ func (g *Group) Stabilizer(points []int) *Group {
 
 // OrbitOf returns the orbit of a point under the group, sorted.
 func (g *Group) OrbitOf(point int) []int {
-	seen := map[int]bool{point: true}
-	queue := []int{point}
-	for len(queue) > 0 {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, gen := range g.gens {
-			if y := gen[x]; !seen[y] {
-				seen[y] = true
-				queue = append(queue, y)
+	seen := make([]uint64, (g.n+63)/64)
+	seen[point/64] |= 1 << (point % 64)
+	out := []int{point}
+	for i := 0; i < len(out); i++ {
+		for _, s := range g.strong {
+			if y := int(s.fwd[out[i]]); seen[y/64]&(1<<(y%64)) == 0 {
+				seen[y/64] |= 1 << (y % 64)
+				out = append(out, y)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -57,18 +46,13 @@ func (g *Group) OrbitOf(point int) []int {
 // chain, in application order).
 func (g *Group) RandomElement(r *rand.Rand) perm.Perm {
 	p := perm.Identity(g.n)
+	u, tmp := make([]int32, g.n), make([]int32, g.n)
 	for i := len(g.chain) - 1; i >= 0; i-- {
 		l := g.chain[i]
-		pt := l.orbit[r.Intn(len(l.orbit))]
-		p = p.Compose(l.transversal(g.n, pt))
-	}
-	return p
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+		g.coset(l, l.orbit[r.Intn(len(l.orbit))], u, tmp)
+		for x, y := range p {
+			p[x] = int(u[y])
 		}
 	}
+	return p
 }

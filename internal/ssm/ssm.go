@@ -494,12 +494,10 @@ func (ix *Index) leafOrbit(ctl *engine.Ctl, nd *core.Node, pattern []int, limit 
 	start := fmt.Sprint(local)
 	seen := map[string][]int{start: local}
 	queue := [][]int{local}
-	for len(queue) > 0 {
+	full := func() bool { return limit > 0 && len(seen) >= limit }
+	for len(queue) > 0 && !full() {
 		if err := ctl.Poll(); err != nil {
 			return nil, err
-		}
-		if limit > 0 && len(seen) >= limit {
-			break
 		}
 		cur := queue[0]
 		queue = queue[1:]
@@ -509,6 +507,9 @@ func (ix *Index) leafOrbit(ctl *engine.Ctl, nd *core.Node, pattern []int, limit 
 			if _, ok := seen[k]; !ok {
 				seen[k] = img
 				queue = append(queue, img)
+				if full() {
+					break
+				}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dvicl/internal/core"
+	"dvicl/internal/gen"
 	"dvicl/internal/graph"
 	"dvicl/internal/perm"
 )
@@ -265,5 +266,31 @@ func TestSelectImage(t *testing.T) {
 	got = ix.SelectImage([]int{1}, 2, func(s []int) float64 { return -float64(s[0]) })
 	if len(got) != 1 || got[0] > 5 {
 		t.Fatalf("limited SelectImage = %v", got)
+	}
+}
+
+// TestEnumerateLimitOnLeafOrbits: on vertex-transitive graphs the edge
+// patterns' images come from one leaf's orbit BFS, which must stop
+// inserting at limit; limit 0 still enumerates every image.
+func TestEnumerateLimitOnLeafOrbits(t *testing.T) {
+	pg2, err := gen.PG2(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"pg2-3", pg2}, {"had-8", gen.Hadamard(8)}, {"grid-w-3-5", gen.GridW(3, 5)}} {
+		ix := NewIndex(core.Build(tc.g, nil, core.Options{}))
+		edges := tc.g.Edges()
+		for i := 0; i < len(edges); i += 1 + len(edges)/20 {
+			s := []int{edges[i][0], edges[i][1]}
+			if got := len(ix.Enumerate(s, 4)); got > 4 {
+				t.Errorf("%s: edge %v: limit 4 returned %d images", tc.name, s, got)
+			}
+			if got, want := len(ix.Enumerate(s, 0)), ix.CountImages(s); want.Cmp(big.NewInt(int64(got))) != 0 {
+				t.Errorf("%s: edge %v: limit 0 returned %d images, CountImages %v", tc.name, s, got, want)
+			}
+		}
 	}
 }
